@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"sdcgmres/internal/expt"
 )
@@ -201,5 +202,18 @@ func TestJournalRejectsMidFileCorruption(t *testing.T) {
 		t.Fatal("mid-file corruption must be reported")
 	} else if !strings.Contains(err.Error(), "line 1") {
 		t.Fatalf("error should name the line: %v", err)
+	}
+}
+
+func TestETA(t *testing.T) {
+	// Two workers finished 10 units in 10 s of wall time: one completion
+	// per second overall, so 10 remaining units take 10 s, not 5 s.
+	if got := eta(10*time.Second, 10, 10); got != 10*time.Second {
+		t.Fatalf("eta = %v, want 10s", got)
+	}
+	for _, tc := range []struct{ executed, remaining int }{{0, 10}, {10, 0}} {
+		if got := eta(10*time.Second, tc.executed, tc.remaining); got != 0 {
+			t.Fatalf("eta(executed %d, remaining %d) = %v, want 0", tc.executed, tc.remaining, got)
+		}
 	}
 }

@@ -160,15 +160,7 @@ func (r *Runner) Progress() Progress {
 	if s := r.started.Load(); s > 0 {
 		elapsed := time.Since(time.Unix(0, s))
 		p.ElapsedMS = float64(elapsed) / float64(time.Millisecond)
-		if exec := p.Executed; exec > 0 {
-			remaining := p.Total - p.Done
-			if remaining > 0 {
-				perUnit := elapsed / time.Duration(exec)
-				workers := r.opts.Workers
-				eta := perUnit * time.Duration(remaining) / time.Duration(workers)
-				p.ETAMS = float64(eta) / float64(time.Millisecond)
-			}
-		}
+		p.ETAMS = float64(eta(elapsed, p.Executed, p.Total-p.Done)) / float64(time.Millisecond)
 	}
 	r.mu.Lock()
 	if len(r.byProblem) > 0 {
@@ -179,6 +171,17 @@ func (r *Runner) Progress() Progress {
 	}
 	r.mu.Unlock()
 	return p
+}
+
+// eta extrapolates the time left for remaining units from the executed
+// ones: elapsed/executed is the wall time per completion with every worker
+// already running in parallel, so it is not divided by the worker count
+// again. It is zero until a unit has executed or once none remain.
+func eta(elapsed time.Duration, executed, remaining int) time.Duration {
+	if executed <= 0 || remaining <= 0 {
+		return 0
+	}
+	return elapsed / time.Duration(executed) * time.Duration(remaining)
 }
 
 // Run executes the campaign. It returns ctx.Err() when interrupted (with

@@ -202,6 +202,10 @@ type Stats struct {
 	// the part of the budget Sec. VII-E argues should carry the cheap,
 	// early robustness.
 	InnerWork krylov.Work
+	// ReplayedInner counts inner solves served from a failure-free record
+	// instead of being run (see Replay). Every other field counts them as
+	// if they had run.
+	ReplayedInner int
 }
 
 // Result is the outcome of a nested solve.
@@ -244,6 +248,9 @@ type Solver struct {
 	// aNormF caches ‖A‖F for the host-side degeneracy screen on inner
 	// results (see innerSolve).
 	aNormF float64
+	// replay, when non-nil, serves provably unchanged inner solves from a
+	// failure-free record (see UseReplay).
+	replay *Replay
 }
 
 // New builds an FT-GMRES solver. The detector bound is computed once here
@@ -302,6 +309,12 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	return s.solve(ctx, b, x0, nil)
+}
+
+// solve is SolveCtx, also recording the inner solves into rp when it is
+// non-nil.
+func (s *Solver) solve(ctx context.Context, b, x0 []float64, rp *Replay) (*Result, error) {
 	stats := &Stats{}
 	if s.det != nil {
 		s.det.Reset()
@@ -334,7 +347,7 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			s.innerSolve(ctx, j, z, q, stats)
+			s.precondition(ctx, j, z, q, stats, rp)
 			return ctx.Err()
 		})
 	}
@@ -399,7 +412,8 @@ func (s *Solver) SolveCtx(ctx context.Context, b, x0 []float64) (*Result, error)
 // sandbox, honouring the detector response policy. It always leaves a
 // usable vector in z: the inner result when the sandbox reports success,
 // or q itself (identity preconditioning) when the guest failed outright.
-func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *Stats) {
+// A non-nil tally observes every coefficient after all other hooks.
+func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *Stats, tally *coeffTally) {
 	onErr := krylov.DetectRecord
 	if s.cfg.Detector.Enabled && s.cfg.Detector.Response != ResponseWarn {
 		onErr = krylov.DetectHalt
@@ -408,10 +422,13 @@ func (s *Solver) innerSolve(ctx context.Context, j int, z, q []float64, stats *S
 	rec.InnerStart(j)
 	innerIters := 0
 	defer func() { rec.InnerEnd(j, innerIters) }()
-	hooks := make([]krylov.CoeffHook, 0, len(s.cfg.Inner.Hooks)+1)
+	hooks := make([]krylov.CoeffHook, 0, len(s.cfg.Inner.Hooks)+2)
 	hooks = append(hooks, s.cfg.Inner.Hooks...)
 	if s.det != nil {
 		hooks = append(hooks, detect.Traced(s.det, rec))
+	}
+	if tally != nil {
+		hooks = append(hooks, tally)
 	}
 	opts := krylov.Options{
 		MaxIter:        s.cfg.Inner.Iterations,

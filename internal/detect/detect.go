@@ -147,6 +147,15 @@ func (d *Detector) Violations() []Violation {
 	return out
 }
 
+// CountPassed adds n checks that passed without running them — for a
+// nested solver that served an inner solve from a record whose every
+// coefficient provably lies within the bound (see WouldDetect).
+func (d *Detector) CountPassed(n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	d.stats.Checked += n
+}
+
 // Reset clears counters and the violation log.
 func (d *Detector) Reset() {
 	d.mu.Lock()

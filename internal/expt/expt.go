@@ -42,6 +42,10 @@ type Problem struct {
 	// (Section VI-D). The paper's figures use Approach 1 — the plain
 	// triangular solve — which is also the default here.
 	InnerPolicy krylov.LSQPolicy
+
+	// replay records the inner solves of the last FailureFree run, so
+	// faulted runs replay the prefix they share with it.
+	replay *core.Replay
 }
 
 // Config builds a core.Config for this problem with the given detector.
@@ -73,7 +77,7 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		OuterTol: 1e-300, // unreachable: record the full residual history
 		Inner:    core.InnerConfig{Iterations: innerIters},
 	})
-	res, err := probe.Solve(b, nil)
+	res, replay, err := probe.SolveRecording(b, nil)
 	if err != nil {
 		return nil, fmt.Errorf("expt: calibration probe failed: %w", err)
 	}
@@ -95,6 +99,10 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		InnerIters: innerIters,
 		OuterTol:   tol,
 		MaxOuter:   4*targetOuter + 20,
+		// The verification solve below repeats the probe's first
+		// targetOuter inner solves: it replays them from the probe's
+		// record and keeps only its own.
+		replay: replay,
 	}
 	ff, err := p.FailureFree()
 	if err != nil {
@@ -108,13 +116,18 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 }
 
 // FailureFree runs the problem without faults and returns the outer
-// iteration count.
+// iteration count. It records the run's inner solves, so every later
+// faulted run of p (RunPoint, Sweep, MonteCarlo) serves the inner solves
+// before its fault from the record instead of repeating them; call it
+// before any of those, not concurrently with them.
 func (p *Problem) FailureFree() (int, error) {
 	s := core.New(p.A, p.Config(core.DetectorConfig{}, nil))
-	res, err := s.Solve(p.B, nil)
+	s.UseReplay(p.replay)
+	res, replay, err := s.SolveRecording(p.B, nil)
 	if err != nil {
 		return 0, err
 	}
+	p.replay = replay
 	if !res.Converged {
 		return 0, fmt.Errorf("expt: failure-free solve did not converge (residual %.3g)", res.FinalResidual)
 	}
@@ -227,11 +240,7 @@ func Sweep(ctx context.Context, p *Problem, cfg SweepConfig) []SweepPoint {
 // unit of work both Sweep and the campaign engine execute, so one-shot and
 // journaled campaigns produce identical records for identical sites.
 func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) SweepPoint {
-	inj := fault.NewInjector(cfg.Model, fault.Site{AggregateInner: aggregate, Step: cfg.Step})
-	ccfg := p.Config(cfg.Detector, []krylov.CoeffHook{inj})
-	ccfg.Pool = cfg.Pool
-	s := core.New(p.A, ccfg)
-	res, err := s.SolveCtx(ctx, p.B, nil)
+	res, fired, err := p.solveFaulted(ctx, cfg.Model, fault.Site{AggregateInner: aggregate, Step: cfg.Step}, cfg.Detector, cfg.Pool)
 	pt := SweepPoint{AggregateInner: aggregate}
 	if ctx.Err() != nil {
 		// Canceled mid-experiment: report the site as not run.
@@ -246,7 +255,7 @@ func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) S
 	pt.OuterIters = res.Stats.OuterIterations
 	pt.Converged = res.Converged
 	pt.Detections = res.Stats.Detections
-	pt.FaultFired = inj.Fired()
+	pt.FaultFired = fired
 	if res.Converged {
 		pt.WrongAnswer = solutionWrong(p, res.X)
 	}
@@ -254,6 +263,19 @@ func RunPoint(ctx context.Context, p *Problem, cfg SweepConfig, aggregate int) S
 		pt.OuterIters = p.MaxOuter
 	}
 	return pt
+}
+
+// solveFaulted solves p with one SDC of the given model at site and reports
+// whether it struck. It is the one solve path of faulted experiments, so
+// all of them replay the prefix recorded by FailureFree.
+func (p *Problem) solveFaulted(ctx context.Context, model fault.Model, site fault.Site, det core.DetectorConfig, pool *kernel.Pool) (*core.Result, bool, error) {
+	inj := fault.NewInjector(model, site)
+	ccfg := p.Config(det, []krylov.CoeffHook{inj})
+	ccfg.Pool = pool
+	s := core.New(p.A, ccfg)
+	s.UseReplay(p.replay)
+	res, err := s.SolveCtx(ctx, p.B, nil)
+	return res, inj.Fired(), err
 }
 
 // solutionWrong checks the converged solution against the known truth

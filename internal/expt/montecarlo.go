@@ -1,6 +1,7 @@
 package expt
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -11,7 +12,6 @@ import (
 
 	"sdcgmres/internal/core"
 	"sdcgmres/internal/fault"
-	"sdcgmres/internal/krylov"
 )
 
 // MCConfig parameterizes a randomized SDC campaign — an extension beyond
@@ -143,9 +143,7 @@ func MonteCarlo(p *Problem, cfg MCConfig) MCResult {
 					return
 				}
 				tr := trials[i]
-				inj := fault.NewInjector(tr.model, tr.site)
-				s := core.New(p.A, p.Config(cfg.Detector, []krylov.CoeffHook{inj}))
-				r, err := s.Solve(p.B, nil)
+				r, _, err := p.solveFaulted(context.Background(), tr.model, tr.site, cfg.Detector, nil)
 
 				mu.Lock()
 				g := res.ByModel[tr.family]

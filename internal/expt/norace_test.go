@@ -1,0 +1,5 @@
+//go:build !race
+
+package expt
+
+const raceEnabled = false

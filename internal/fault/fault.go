@@ -212,10 +212,22 @@ func (in *Injector) Reset() {
 	in.events = nil
 }
 
+// QuietBefore implements krylov.QuietHook: an armed injector touches
+// nothing before its site's aggregate inner iteration, and a fired one
+// touches nothing ever again.
+func (in *Injector) QuietBefore() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if in.fired {
+		return math.MaxInt
+	}
+	return in.site.AggregateInner
+}
+
 // Site returns the injector's target site.
 func (in *Injector) Site() Site { return in.site }
 
 // Model returns the injector's fault model.
 func (in *Injector) Model() Model { return in.model }
 
-var _ krylov.CoeffHook = (*Injector)(nil)
+var _ krylov.QuietHook = (*Injector)(nil)

@@ -116,6 +116,17 @@ type CoeffHook interface {
 	Observe(ctx CoeffContext, h float64) (float64, error)
 }
 
+// QuietHook is a CoeffHook that can prove it is inert for a while:
+// QuietBefore returns an aggregate inner iteration t such that the hook
+// passes every coefficient of aggregate iterations before t through
+// unchanged, never errors on them and keeps no state about them. A nested
+// solver may then skip calling it for those iterations entirely. Hooks
+// without this method are assumed to act on every coefficient.
+type QuietHook interface {
+	CoeffHook
+	QuietBefore() int
+}
+
 // CoeffHookFunc adapts a function to CoeffHook.
 type CoeffHookFunc func(ctx CoeffContext, h float64) (float64, error)
 
