@@ -11,9 +11,9 @@ import (
 	"sdcgmres/internal/sparse"
 )
 
-// Replay records the inner solves of one failure-free FT-GMRES solve so
-// that faulted solves of the same problem can skip the prefix they share
-// with it (prefix replay).
+// Replay records the inner solves of one FT-GMRES solve that are provably
+// failure-free, so that faulted solves of the same problem can skip the
+// prefix they share with it (prefix replay).
 //
 // An inner solve is a pure function of its input q_j while every
 // coefficient hook is inert and the detector passes every coefficient:
@@ -36,7 +36,7 @@ import (
 // read-only once recorded and safe to share between concurrent solvers.
 type Replay struct {
 	a     *sparse.CSR
-	inner innerKey
+	inner ReplayKey
 	steps []replayStep
 }
 
@@ -69,20 +69,28 @@ func (t *coeffTally) Observe(_ krylov.CoeffContext, h float64) (float64, error) 
 	return h, nil
 }
 
-// Len returns the number of recorded inner solves.
-func (r *Replay) Len() int { return len(r.steps) }
+// Len returns the number of recorded inner solves (0 for a nil record).
+func (r *Replay) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.steps)
+}
 
-// innerKey is the part of the inner configuration a recorded z_j depends
-// on besides the operator and q_j.
-type innerKey struct {
+// ReplayKey is the part of the inner configuration a recorded z_j depends
+// on besides the operator and q_j: records made on one operator under
+// equal keys are interchangeable.
+type ReplayKey struct {
 	iters  int
 	ortho  krylov.OrthoMethod
 	policy krylov.LSQPolicy
 	rrTol  float64
 }
 
-func keyOf(c InnerConfig) innerKey {
-	return innerKey{iters: c.Iterations, ortho: c.Ortho, policy: c.Policy, rrTol: c.RRTol}
+// ReplayKey returns the key of the records this solver makes and accepts.
+func (s *Solver) ReplayKey() ReplayKey {
+	c := s.cfg.Inner
+	return ReplayKey{iters: c.Iterations, ortho: c.Ortho, policy: c.Policy, rrTol: c.RRTol}
 }
 
 // replayable reports whether the configuration keeps inner solves pure
@@ -98,23 +106,31 @@ func (s *Solver) replayable() bool {
 // record, or one made for another operator or inner configuration, turns
 // replay off.
 func (s *Solver) UseReplay(r *Replay) {
-	if r != nil && (r.a != s.a || r.inner != keyOf(s.cfg.Inner) || !s.replayable()) {
+	if r != nil && (r.a != s.a || r.inner != s.ReplayKey() || !s.replayable()) {
 		r = nil
 	}
 	s.replay = r
 }
 
-// replayed returns the record that may stand in for inner solve j on
-// input q, or nil when the solve must run.
-func (s *Solver) replayed(j int, q []float64) *replayStep {
-	if s.replay == nil || j > len(s.replay.steps) {
-		return nil
-	}
+// quietThrough reports whether every hook is a krylov.QuietHook that is
+// inert for all of inner solve j, i.e. through aggregate inner iteration
+// j·Iterations. It must be asked before the solve: a fired injector is
+// quiet forever afterwards.
+func (s *Solver) quietThrough(j int) bool {
 	for _, h := range s.cfg.Inner.Hooks {
 		qh, ok := h.(krylov.QuietHook)
 		if !ok || qh.QuietBefore() <= j*s.cfg.Inner.Iterations {
-			return nil
+			return false
 		}
+	}
+	return true
+}
+
+// replayed returns the record that may stand in for inner solve j on
+// input q, or nil when the solve must run. quiet is quietThrough(j).
+func (s *Solver) replayed(j int, q []float64, quiet bool) *replayStep {
+	if s.replay == nil || j > len(s.replay.steps) || !quiet {
+		return nil
 	}
 	st := &s.replay.steps[j-1]
 	if s.det != nil && s.det.WouldDetect(st.maxAbsH) {
@@ -126,18 +142,31 @@ func (s *Solver) replayed(j int, q []float64) *replayStep {
 	return st
 }
 
-// SolveRecording is Solve that also records the solve's inner solves for
-// replay. The Replay is nil when the configuration cannot be recorded:
-// coefficient hooks or the detector are set, or replay is impossible for
-// it (see Replay). Inner solves served from an attached record are
-// recorded too, so a record can seed the next one.
-func (s *Solver) SolveRecording(b, x0 []float64) (*Result, *Replay, error) {
-	if len(s.cfg.Inner.Hooks) > 0 || s.det != nil || !s.replayable() {
-		res, err := s.Solve(b, x0)
+// SolveRecording is SolveCtx that also records the solve's provably
+// failure-free prefix for replay. Inner solve j joins the record when
+// every earlier one did and
+//
+//   - every hook is a krylov.QuietHook quiet through j·Iterations, asked
+//     before the solve;
+//   - the detector, if enabled, saw no violation and halted nothing
+//     during it;
+//   - the sandbox reported no failure.
+//
+// A one-shot injector aimed at site t therefore leaves a record of the
+// inner solves before t, bit for bit the failure-free run's prefix. Inner
+// solves served from an attached record join it too, so a solve extends
+// the record it was given. The Replay is nil when the configuration
+// cannot be replayed (see Replay) or the solve fails.
+func (s *Solver) SolveRecording(ctx context.Context, b, x0 []float64) (*Result, *Replay, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if !s.replayable() {
+		res, err := s.solve(ctx, b, x0, nil)
 		return res, nil, err
 	}
-	rec := &Replay{a: s.a, inner: keyOf(s.cfg.Inner)}
-	res, err := s.solve(context.Background(), b, x0, rec)
+	rec := &Replay{a: s.a, inner: s.ReplayKey()}
+	res, err := s.solve(ctx, b, x0, rec)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -146,13 +175,14 @@ func (s *Solver) SolveRecording(b, x0 []float64) (*Result, *Replay, error) {
 
 // precondition computes z_j for the outer iteration: served from the
 // attached record when that is provably exact, by an inner solve
-// otherwise. With rp non-nil and j the next step in order, it also appends
-// step j to rp; an inner solve the sandbox rejected is left out.
+// otherwise. With rp non-nil it also appends step j to rp when j is the
+// next step in order and provably failure-free (see SolveRecording).
 func (s *Solver) precondition(ctx context.Context, j int, z, q []float64, stats *Stats, rp *Replay) {
-	if rp != nil && j != len(rp.steps)+1 {
+	quiet := (rp != nil || s.replay != nil) && s.quietThrough(j)
+	if rp != nil && (j != len(rp.steps)+1 || !quiet) {
 		rp = nil
 	}
-	if st := s.replayed(j, q); st != nil {
+	if st := s.replayed(j, q, quiet); st != nil {
 		copy(z, st.z)
 		stats.InnerIterations += st.iters
 		stats.InnerWork.Add(st.work)
@@ -171,8 +201,14 @@ func (s *Solver) precondition(ctx context.Context, j int, z, q []float64, stats 
 	}
 	st := replayStep{digest: digest(q)}
 	before := *stats
+	violations := 0
+	if s.det != nil {
+		violations = s.det.Stats().Violations
+	}
 	s.innerSolve(ctx, j, z, q, stats, &st.coeffTally)
-	if stats.SandboxFailures != before.SandboxFailures {
+	// A restart always follows a halt, so halts cover both.
+	if stats.SandboxFailures != before.SandboxFailures || stats.InnerHalts != before.InnerHalts ||
+		(s.det != nil && s.det.Stats().Violations != violations) {
 		return
 	}
 	st.z = slices.Clone(z)

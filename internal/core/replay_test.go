@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -24,7 +25,7 @@ func newReplayFixture(t *testing.T) replayFixture {
 	a := gallery.Poisson2D(16)
 	cfg := Config{MaxOuter: 30, OuterTol: 1e-9, Inner: InnerConfig{Iterations: 10}}
 	b := rhsOnes(a)
-	res, rec, err := New(a, cfg).SolveRecording(b, nil)
+	res, rec, err := New(a, cfg).SolveRecording(context.Background(), b, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,16 +196,131 @@ func TestReplayRecorderOptsOut(t *testing.T) {
 	}
 }
 
+// TestSolveRecordingDeclines pins which solves give which record: a hook
+// armed at the first site leaves an empty record, a detector that never
+// fires leaves the full one, and configurations that replay cannot serve
+// give none.
 func TestSolveRecordingDeclines(t *testing.T) {
 	a := gallery.Poisson2D(8)
-	for name, cfg := range map[string]Config{
-		"hooks":    {Inner: InnerConfig{Hooks: []krylov.CoeffHook{fault.NewInjector(fault.ClassLarge, fault.Site{AggregateInner: 1})}}},
-		"detector": {Detector: DetectorConfig{Enabled: true}},
-		"fcg":      {Outer: OuterFCG},
+	const none, full = -1, -2 // no record; one step per outer iteration
+	for name, tc := range map[string]struct {
+		cfg  Config
+		want int // record length, none or full
+	}{
+		"hook at site 1": {Config{Inner: InnerConfig{Hooks: []krylov.CoeffHook{fault.NewInjector(fault.ClassLarge, fault.Site{AggregateInner: 1})}}}, 0},
+		"detector":       {Config{Detector: DetectorConfig{Enabled: true, Response: ResponseRestartInner}}, full},
+		"fcg":            {Config{Outer: OuterFCG}, none},
+		"recorder":       {Config{Recorder: trace.NewRecorder(1 << 12)}, none},
 	} {
+		cfg := tc.cfg
 		cfg.MaxOuter, cfg.OuterTol = 20, 1e-8
-		if _, rec, err := New(a, cfg).SolveRecording(rhsOnes(a), nil); err != nil || rec != nil {
-			t.Fatalf("%s: record %v, error %v; want no record", name, rec, err)
+		res, rec, err := New(a, cfg).SolveRecording(context.Background(), rhsOnes(a), nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want := tc.want
+		if want == full {
+			want = res.Stats.OuterIterations
+		}
+		switch {
+		case want == none && rec != nil:
+			t.Fatalf("%s: record of %d steps, want none", name, rec.Len())
+		case want >= 0 && (rec == nil || rec.Len() != want):
+			t.Fatalf("%s: record %v, want %d steps", name, rec, want)
 		}
 	}
+	// A detector that flags failure-free coefficients (a bound below the
+	// true max |h|) halts the inner solves it fires on, and none of those
+	// may join the record, under either response.
+	for _, resp := range []Response{ResponseWarn, ResponseRestartInner} {
+		s := New(a, Config{MaxOuter: 20, OuterTol: 1e-8, Detector: DetectorConfig{Enabled: true, Response: resp}})
+		s.det = detect.NewDetectorWithBound(1e-3, detect.FrobeniusBound)
+		res, rec, err := s.SolveRecording(context.Background(), rhsOnes(a), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.Detections == 0 || rec.Len() != 0 {
+			t.Fatalf("response %v: %d detections, record of %d steps; want detections and no steps", resp, res.Stats.Detections, rec.Len())
+		}
+	}
+}
+
+// TestRecordingFaultedIsFailureFreePrefix checks the recording conditions
+// against the fault model: a record made during any single-fault run —
+// every class, first or last MGS step, every other site, with the detector
+// off or restarting — is bit for bit the failure-free record's prefix up
+// to the faulted inner solve. Attached to a failure-free solve, each such
+// record is extended back to the full one.
+func TestRecordingFaultedIsFailureFreePrefix(t *testing.T) {
+	a := gallery.Poisson2D(32)
+	b := rhsOnes(a)
+	cfg := Config{MaxOuter: 60, OuterTol: 1e-8, Inner: InnerConfig{Iterations: 25}}
+	_, ff, err := New(a, cfg).SolveRecording(context.Background(), b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := ff.Len() * cfg.Inner.Iterations
+	stride := 2
+	if raceEnabled || testing.Short() {
+		stride = 37 // about fortyfold slower kernels under -race
+	}
+	runs := 0
+	for _, class := range []fault.Model{fault.ClassLarge, fault.ClassSlight, fault.ClassTiny} {
+		for _, step := range []fault.StepSelector{fault.FirstMGS, fault.LastMGS} {
+			for site := 1; site <= last; site += stride {
+				for _, det := range []DetectorConfig{{}, {Enabled: true, Response: ResponseRestartInner}} {
+					c := cfg
+					inj := fault.NewInjector(class, fault.Site{AggregateInner: site, Step: step})
+					c.Inner.Hooks = []krylov.CoeffHook{inj}
+					c.Detector = det
+					_, rec, err := New(a, c).SolveRecording(context.Background(), b, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !inj.Fired() {
+						t.Fatalf("site %d: fault did not fire", site)
+					}
+					if want := (site - 1) / cfg.Inner.Iterations; rec.Len() != want {
+						t.Fatalf("%v %v site %d detector %v: record of %d steps, want %d", class, step, site, det.Enabled, rec.Len(), want)
+					}
+					if i := firstStepDiff(rec, ff); i >= 0 {
+						t.Fatalf("%v %v site %d detector %v: step %d differs from the failure-free record", class, step, site, det.Enabled, i+1)
+					}
+					s := New(a, c)
+					s.UseReplay(rec)
+					s.cfg.Inner.Hooks = nil // the same solver, failure-free
+					res, full, err := s.SolveRecording(context.Background(), b, nil)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if res.Stats.ReplayedInner != rec.Len() || full.Len() != ff.Len() || firstStepDiff(full, ff) >= 0 {
+						t.Fatalf("site %d: extended record of %d steps (%d replayed), want the failure-free %d", site, full.Len(), res.Stats.ReplayedInner, ff.Len())
+					}
+					runs++
+				}
+			}
+		}
+	}
+	t.Logf("%d faulted runs on Poisson 32² (%d failure-free steps)", runs, ff.Len())
+}
+
+// firstStepDiff returns the index of the first step of rec that differs
+// from ref's in any recorded bit, or -1 when rec is a prefix of ref.
+func firstStepDiff(rec, ref *Replay) int {
+	for i, st := range rec.steps {
+		if i >= len(ref.steps) {
+			return i
+		}
+		w := ref.steps[i]
+		if st.digest != w.digest || st.iters != w.iters || st.work != w.work || st.coeffs != w.coeffs ||
+			math.Float64bits(st.maxAbsH) != math.Float64bits(w.maxAbsH) || len(st.z) != len(w.z) {
+			return i
+		}
+		for k := range st.z {
+			if math.Float64bits(st.z[k]) != math.Float64bits(w.z[k]) {
+				return i
+			}
+		}
+	}
+	return -1
 }

@@ -43,6 +43,11 @@ var (
 // with bit-identical results).
 type Runner func(ctx context.Context, spec *JobSpec, rec *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error)
 
+// jobRunner is how the engine runs a job: a Runner that also hands back a
+// commit, which the engine calls only once the job has succeeded (see
+// runSpec). A nil commit means there is nothing to publish.
+type jobRunner func(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, func(), error)
+
 // Config parameterizes an Engine. The zero value is usable: every field
 // has a production default.
 type Config struct {
@@ -61,7 +66,10 @@ type Config struct {
 	// Metrics receives the engine's observations (default: a fresh
 	// registry, available via Engine.Metrics).
 	Metrics *Metrics
-	// Runner executes solves (default RunSpec). Tests substitute stubs.
+	// Runner executes solves. Nil runs RunSpec's code path with the
+	// engine's problem cache: jobs share built systems, and FT-GMRES jobs
+	// replay the failure-free inner solves earlier jobs on the same
+	// problem recorded. Tests substitute stubs.
 	Runner Runner
 	// TraceCapacity, when positive, gives every job a flight recorder
 	// ring of that many events, queryable via JobTrace while the job runs
@@ -122,9 +130,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = NewMetrics()
 	}
-	if c.Runner == nil {
-		c.Runner = RunSpec
-	}
 	return c
 }
 
@@ -149,6 +154,11 @@ type Engine struct {
 	baseCtx    context.Context
 	hardCancel context.CancelFunc
 
+	// problems is the problem cache behind the default runner (nil with a
+	// Config.Runner).
+	problems *problemCache
+	runner   jobRunner
+
 	// pools holds one persistent kernel pool per engine worker (nil
 	// entries mean sequential kernels). Built by Start, closed by
 	// Shutdown after the drain completes.
@@ -169,6 +179,17 @@ func NewEngine(cfg Config) *Engine {
 		baseCtx:    ctx,
 		hardCancel: cancel,
 		jobs:       make(map[string]*Job),
+	}
+	if r := cfg.Runner; r != nil {
+		e.runner = func(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, func(), error) {
+			rec, err := r(ctx, spec, tr, pool)
+			return rec, nil, err
+		}
+	} else {
+		e.problems = newProblemCache(cfg.Metrics, problemCacheBytes)
+		e.runner = func(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, func(), error) {
+			return runSpec(ctx, spec, tr, pool, e.problems)
+		}
 	}
 	if cfg.QoS != nil {
 		sched, err := qos.New[*Job](*cfg.QoS, qos.Options[*Job]{
@@ -581,19 +602,23 @@ func (e *Engine) run(j *Job, pool *kernel.Pool) {
 	}
 
 	var rec *SolveRecord
+	var commit func()
 	var rep sandbox.Report
 	executed := false
 	exec := func() ([]byte, error) {
 		executed = true
 		rep = sandbox.RunCtx(ctx, 0, func() error {
-			r, err := e.cfg.Runner(ctx, &j.spec, tr, pool)
+			r, c, err := e.runner(ctx, &j.spec, tr, pool)
 			if err != nil {
 				return err
 			}
-			rec = r
+			rec, commit = r, c
 			return nil
 		})
 		if rep.Outcome == sandbox.OK && rec != nil {
+			if commit != nil {
+				commit()
+			}
 			return json.Marshal(rec)
 		}
 		if rep.Err != nil {

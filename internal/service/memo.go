@@ -26,21 +26,7 @@ import (
 // it computes.
 func SpecDigest(spec *JobSpec) string {
 	h := sha256.New()
-	m := spec.Matrix
-	fmt.Fprintf(h, "v1|%s|", m.Kind)
-	switch m.Kind {
-	case "mm":
-		sum := sha256.Sum256([]byte(m.MM))
-		fmt.Fprintf(h, "mm=%x|", sum[:])
-	case "convdiff":
-		cx, cy := m.CX, m.CY
-		if cx == 0 && cy == 0 {
-			cx, cy = 10, -5 // BuildMatrix's default convection field
-		}
-		fmt.Fprintf(h, "n=%d|cx=%g|cy=%g|", m.N, cx, cy)
-	default:
-		fmt.Fprintf(h, "n=%d|", m.N)
-	}
+	fmt.Fprintf(h, "v1|%s", matrixKey(spec.Matrix))
 	s := spec.Solver
 	ortho := s.Ortho
 	if ortho == "" {
@@ -78,6 +64,23 @@ func SpecDigest(spec *JobSpec) string {
 		io.WriteString(h, "fault=-")
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
+}
+
+// matrixKey is the canonical form of a matrix spec: two specs share it
+// exactly when BuildMatrix gives them the same matrix. Inline Matrix
+// Market payloads key by content and an omitted convection field by its
+// resolved default. It is the matrix half of SpecDigest and the key of
+// the engine's problem cache.
+func matrixKey(m MatrixSpec) string {
+	switch m.Kind {
+	case "mm":
+		sum := sha256.Sum256([]byte(m.MM))
+		return fmt.Sprintf("mm|mm=%x|", sum[:])
+	case "convdiff":
+		cx, cy := convection(m)
+		return fmt.Sprintf("convdiff|n=%d|cx=%g|cy=%g|", m.N, cx, cy)
+	}
+	return fmt.Sprintf("%s|n=%d|", m.Kind, m.N)
 }
 
 // MemoEnabled reports whether the engine consults a solve cache.

@@ -220,3 +220,33 @@ func TestMemoTraceEvent(t *testing.T) {
 		t.Fatalf("memo-served job's trace has no memo-hit event (%d events)", len(events))
 	}
 }
+
+// TestSpecDigestGolden pins SpecDigest's exact output. Digests are the
+// keys of persisted memo records, which a warm restart reads back from the
+// results store, so any change to the canonical form silently orphans
+// them: a refactor must keep every value below.
+func TestSpecDigestGolden(t *testing.T) {
+	mm := "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 4.0\n2 2 4.0\n"
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"poisson", PoissonJob(32), "2495e29bfe68ea53"},
+		{"circuit", CircuitJob(500), "c1e0fd423a8092f4"},
+		{"convdiff default convection", ConvDiffJob(16), "5ea5d1160f29a337"},
+		// The default field spelled out digests like the omitted one.
+		{"convdiff spelled-out default", JobSpec{Matrix: MatrixSpec{Kind: "convdiff", N: 16, CX: 10, CY: -5}, Solver: defaultSolver()}, "5ea5d1160f29a337"},
+		{"convdiff explicit convection", JobSpec{Matrix: MatrixSpec{Kind: "convdiff", N: 16, CX: 3, CY: 0.5}}, "00906d26e35a5f46"},
+		{"mm", MatrixMarketJob(mm), "3e54832b702d504c"},
+		{"faulted", JobSpec{
+			Matrix: MatrixSpec{Kind: "poisson", N: 64},
+			Solver: SolverSpec{Kind: "ftgmres", Detector: true, Response: "restart"},
+			Fault:  &FaultSpec{Class: "slight", At: 40, Step: "last"},
+		}, "7b6dc9a4e21fff65"},
+	} {
+		if got := SpecDigest(&tc.spec); got != tc.want {
+			t.Errorf("%s: SpecDigest = %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}

@@ -57,6 +57,14 @@ type Metrics struct {
 	// solve cache (journaled without executing).
 	CampaignUnitsMemoized Counter
 	CampaignUnitsFailed   Counter
+	// Prefix replay across jobs (the engine's problem cache):
+	// InnerReplayed sums the inner solves completed jobs served from a
+	// failure-free record instead of running them; ProblemCacheHits and
+	// ProblemCacheMisses count jobs that found or had to build their
+	// system.
+	InnerReplayed      Counter
+	ProblemCacheHits   Counter
+	ProblemCacheMisses Counter
 	// StoreIngestErrors counts records the results store failed to absorb
 	// (the journal stays authoritative; these flag warehouse divergence).
 	StoreIngestErrors Counter
@@ -127,6 +135,10 @@ func (m *Metrics) Snapshot() map[string]int64 {
 		"fault_injections": m.FaultInjections.Value(),
 		"sandbox_failures": m.SandboxFailures.Value(),
 
+		"inner_replayed":       m.InnerReplayed.Value(),
+		"problem_cache_hits":   m.ProblemCacheHits.Value(),
+		"problem_cache_misses": m.ProblemCacheMisses.Value(),
+
 		"campaigns_started":       m.CampaignsStarted.Value(),
 		"campaigns_completed":     m.CampaignsCompleted.Value(),
 		"campaigns_failed":        m.CampaignsFailed.Value(),
@@ -156,6 +168,9 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 		{"solved_detector_firings_total", "SDC detector violations across all jobs.", &m.DetectorFirings},
 		{"solved_fault_injections_total", "Armed fault injectors that actually fired.", &m.FaultInjections},
 		{"solved_sandbox_failures_total", "Inner solves rejected at the sandbox boundary.", &m.SandboxFailures},
+		{"solved_inner_replayed_total", "Inner solves completed jobs served from a failure-free record instead of running.", &m.InnerReplayed},
+		{"solved_problem_cache_hits_total", "Jobs whose system came from the problem cache.", &m.ProblemCacheHits},
+		{"solved_problem_cache_misses_total", "Jobs that built their system.", &m.ProblemCacheMisses},
 		{"solved_campaigns_started_total", "Campaigns admitted by the manager.", &m.CampaignsStarted},
 		{"solved_campaigns_completed_total", "Campaigns whose every unit is journaled.", &m.CampaignsCompleted},
 		{"solved_campaigns_failed_total", "Campaigns stopped by compile or journal failure.", &m.CampaignsFailed},

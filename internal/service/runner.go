@@ -16,7 +16,6 @@ import (
 	"sdcgmres/internal/precond"
 	"sdcgmres/internal/sparse"
 	"sdcgmres/internal/trace"
-	"sdcgmres/internal/vec"
 )
 
 // SolveRecord is the canonical machine-readable result of one solve. The
@@ -100,10 +99,7 @@ func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
 	case "circuit":
 		return gallery.CircuitDCOP(gallery.DefaultCircuitDCOPConfig(m.N)), fmt.Sprintf("circuit-dcop-%d", m.N), nil
 	case "convdiff":
-		cx, cy := m.CX, m.CY
-		if cx == 0 && cy == 0 {
-			cx, cy = 10, -5
-		}
+		cx, cy := convection(m)
 		return gallery.ConvectionDiffusion2D(m.N, cx, cy), fmt.Sprintf("convdiff-%dx%d", m.N, m.N), nil
 	case "mm":
 		a, err := sparse.ReadMatrixMarket(strings.NewReader(m.MM))
@@ -118,6 +114,15 @@ func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
 	return nil, "", fmt.Errorf("service: unknown matrix kind %q", m.Kind)
 }
 
+// convection resolves a convdiff spec's convection field: (10, -5) when
+// both coefficients are omitted.
+func convection(m MatrixSpec) (cx, cy float64) {
+	if m.CX == 0 && m.CY == 0 {
+		return 10, -5
+	}
+	return m.CX, m.CY
+}
+
 // RunSpec is the engine's default Runner: build the system, solve it under
 // the job's context, and report the canonical record. The caller (the
 // worker pool) provides panic isolation and the wall-clock budget via the
@@ -127,15 +132,24 @@ func BuildMatrix(m MatrixSpec) (*sparse.CSR, string, error) {
 // runs the solver's kernels on persistent workers; records are bitwise
 // identical for every pool width.
 func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
+	rec, _, err := runSpec(ctx, spec, tr, pool, nil)
+	return rec, err
+}
+
+// runSpec is RunSpec drawing the system from a problem cache (nil: built
+// for this job alone). FT-GMRES jobs replay the cached record of their
+// problem and record their own failure-free prefix. The returned commit
+// publishes that record and the job's replay count; the engine calls it
+// only once the job has succeeded, so a panicking, timed-out or canceled
+// job publishes nothing.
+func runSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kernel.Pool, pc *problemCache) (*SolveRecord, func(), error) {
 	if err := spec.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	a, name, err := BuildMatrix(spec.Matrix)
+	p, err := pc.get(spec.Matrix)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	b := make([]float64, a.Rows())
-	a.MatVec(b, vec.Ones(a.Cols()))
 
 	var hooks []krylov.CoeffHook
 	var inj *fault.Injector
@@ -153,40 +167,48 @@ func RunSpec(ctx context.Context, spec *JobSpec, tr *trace.Recorder, pool *kerne
 
 	start := time.Now()
 	var rec *SolveRecord
+	commit := func() {}
 	switch spec.SolverKind() {
 	case "ftgmres":
-		rec, err = runFTGMRES(ctx, spec, a, name, b, hooks, tr, pool)
+		rec, commit, err = runFTGMRES(ctx, spec, p, hooks, tr, pool, pc)
 	case "gmres":
-		rec, err = runGMRES(ctx, spec, a, name, b, hooks, tr, pool)
+		rec, err = runGMRES(ctx, spec, p.a, p.name, p.b, hooks, tr, pool)
 	case "cg":
-		rec, err = runCG(ctx, spec, a, name, b, tr, pool)
+		rec, err = runCG(ctx, spec, p.a, p.name, p.b, tr, pool)
 	default:
-		return nil, fmt.Errorf("service: unknown solver kind %q", spec.Solver.Kind)
+		return nil, nil, fmt.Errorf("service: unknown solver kind %q", spec.Solver.Kind)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rec.ElapsedMS = float64(time.Since(start)) / float64(time.Millisecond)
 	if inj != nil {
 		rec.FaultInjected = true
 		rec.FaultFired = inj.Fired()
 	}
-	return rec, nil
+	return rec, commit, nil
 }
 
-func runFTGMRES(ctx context.Context, spec *JobSpec, a *sparse.CSR, name string, b []float64, hooks []krylov.CoeffHook, tr *trace.Recorder, pool *kernel.Pool) (*SolveRecord, error) {
-	cfg, err := coreConfig(spec, a, hooks)
+// runFTGMRES solves with the problem's cached record attached (traced
+// solves decline it: a Recorder turns replay off) and records the solve's
+// failure-free prefix for the commit to publish.
+func runFTGMRES(ctx context.Context, spec *JobSpec, p *problem, hooks []krylov.CoeffHook, tr *trace.Recorder, pool *kernel.Pool, pc *problemCache) (*SolveRecord, func(), error) {
+	cfg, err := coreConfig(spec, p.a, hooks)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cfg.Recorder = tr
 	cfg.Pool = pool.WithRecorder(tr)
+	s := core.New(p.a, cfg)
+	key := s.ReplayKey()
+	s.UseReplay(pc.record(p, key))
 	start := time.Now()
-	res, err := core.New(a, cfg).SolveCtx(ctx, b, nil)
+	res, replay, err := s.SolveRecording(ctx, p.b, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return RecordFromCore(name, a, res, time.Since(start)), nil
+	commit := func() { pc.commit(p, key, replay, res.Stats.ReplayedInner) }
+	return RecordFromCore(p.name, p.a, res, time.Since(start)), commit, nil
 }
 
 // coreConfig translates a SolverSpec into a core.Config.
