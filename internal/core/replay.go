@@ -38,6 +38,8 @@ type Replay struct {
 	a     *sparse.CSR
 	inner ReplayKey
 	steps []replayStep
+	// limit caps len(steps) while the record is being made.
+	limit int
 }
 
 // replayStep is the record of inner solve j.
@@ -155,17 +157,18 @@ func (s *Solver) replayed(j int, q []float64, quiet bool) *replayStep {
 // A one-shot injector aimed at site t therefore leaves a record of the
 // inner solves before t, bit for bit the failure-free run's prefix. Inner
 // solves served from an attached record join it too, so a solve extends
-// the record it was given. The Replay is nil when the configuration
-// cannot be replayed (see Replay) or the solve fails.
-func (s *Solver) SolveRecording(ctx context.Context, b, x0 []float64) (*Result, *Replay, error) {
+// the record it was given. The record stops after maxSteps inner solves,
+// and only those are copied. The Replay is nil when maxSteps < 1, the
+// configuration cannot be replayed (see Replay) or the solve fails.
+func (s *Solver) SolveRecording(ctx context.Context, b, x0 []float64, maxSteps int) (*Result, *Replay, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !s.replayable() {
+	if maxSteps < 1 || !s.replayable() {
 		res, err := s.solve(ctx, b, x0, nil)
 		return res, nil, err
 	}
-	rec := &Replay{a: s.a, inner: s.ReplayKey()}
+	rec := &Replay{a: s.a, inner: s.ReplayKey(), limit: maxSteps}
 	res, err := s.solve(ctx, b, x0, rec)
 	if err != nil {
 		return nil, nil, err
@@ -176,10 +179,11 @@ func (s *Solver) SolveRecording(ctx context.Context, b, x0 []float64) (*Result, 
 // precondition computes z_j for the outer iteration: served from the
 // attached record when that is provably exact, by an inner solve
 // otherwise. With rp non-nil it also appends step j to rp when j is the
-// next step in order and provably failure-free (see SolveRecording).
+// next step in order, within rp's limit and provably failure-free (see
+// SolveRecording).
 func (s *Solver) precondition(ctx context.Context, j int, z, q []float64, stats *Stats, rp *Replay) {
 	quiet := (rp != nil || s.replay != nil) && s.quietThrough(j)
-	if rp != nil && (j != len(rp.steps)+1 || !quiet) {
+	if rp != nil && (j != len(rp.steps)+1 || j > rp.limit || !quiet) {
 		rp = nil
 	}
 	if st := s.replayed(j, q, quiet); st != nil {

@@ -25,7 +25,7 @@ func newReplayFixture(t *testing.T) replayFixture {
 	a := gallery.Poisson2D(16)
 	cfg := Config{MaxOuter: 30, OuterTol: 1e-9, Inner: InnerConfig{Iterations: 10}}
 	b := rhsOnes(a)
-	res, rec, err := New(a, cfg).SolveRecording(context.Background(), b, nil)
+	res, rec, err := New(a, cfg).SolveRecording(context.Background(), b, nil, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSolveRecordingDeclines(t *testing.T) {
 	} {
 		cfg := tc.cfg
 		cfg.MaxOuter, cfg.OuterTol = 20, 1e-8
-		res, rec, err := New(a, cfg).SolveRecording(context.Background(), rhsOnes(a), nil)
+		res, rec, err := New(a, cfg).SolveRecording(context.Background(), rhsOnes(a), nil, math.MaxInt)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -235,12 +235,44 @@ func TestSolveRecordingDeclines(t *testing.T) {
 	for _, resp := range []Response{ResponseWarn, ResponseRestartInner} {
 		s := New(a, Config{MaxOuter: 20, OuterTol: 1e-8, Detector: DetectorConfig{Enabled: true, Response: resp}})
 		s.det = detect.NewDetectorWithBound(1e-3, detect.FrobeniusBound)
-		res, rec, err := s.SolveRecording(context.Background(), rhsOnes(a), nil)
+		res, rec, err := s.SolveRecording(context.Background(), rhsOnes(a), nil, math.MaxInt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Stats.Detections == 0 || rec.Len() != 0 {
 			t.Fatalf("response %v: %d detections, record of %d steps; want detections and no steps", resp, res.Stats.Detections, rec.Len())
+		}
+	}
+}
+
+// TestSolveRecordingLimit: a record stops at its step cap with the
+// failure-free record's prefix, the result is unchanged, and a cap below
+// one records nothing; an attached record's steps count toward the cap.
+func TestSolveRecordingLimit(t *testing.T) {
+	f := newReplayFixture(t)
+	want, err := f.s(f.cfg).Solve(f.b, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, limit := range []int{0, 1, 3, f.rec.Len(), f.rec.Len() + 5} {
+		for _, attach := range []bool{false, true} {
+			s := f.s(f.cfg)
+			if attach {
+				s.UseReplay(f.rec)
+			}
+			res, rec, err := s.SolveRecording(context.Background(), f.b, nil, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.ReplayedInner = 0; !bitwiseEqual(res, want) {
+				t.Fatalf("limit %d: the cap changed the result", limit)
+			}
+			switch {
+			case limit == 0 && rec != nil:
+				t.Fatalf("limit 0: record of %d steps, want none", rec.Len())
+			case limit > 0 && (rec.Len() != min(limit, f.rec.Len()) || firstStepDiff(rec, f.rec) >= 0):
+				t.Fatalf("limit %d attached %t: record of %d steps, not the failure-free prefix", limit, attach, rec.Len())
+			}
 		}
 	}
 }
@@ -255,7 +287,7 @@ func TestRecordingFaultedIsFailureFreePrefix(t *testing.T) {
 	a := gallery.Poisson2D(32)
 	b := rhsOnes(a)
 	cfg := Config{MaxOuter: 60, OuterTol: 1e-8, Inner: InnerConfig{Iterations: 25}}
-	_, ff, err := New(a, cfg).SolveRecording(context.Background(), b, nil)
+	_, ff, err := New(a, cfg).SolveRecording(context.Background(), b, nil, math.MaxInt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +305,7 @@ func TestRecordingFaultedIsFailureFreePrefix(t *testing.T) {
 					inj := fault.NewInjector(class, fault.Site{AggregateInner: site, Step: step})
 					c.Inner.Hooks = []krylov.CoeffHook{inj}
 					c.Detector = det
-					_, rec, err := New(a, c).SolveRecording(context.Background(), b, nil)
+					_, rec, err := New(a, c).SolveRecording(context.Background(), b, nil, math.MaxInt)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -289,7 +321,7 @@ func TestRecordingFaultedIsFailureFreePrefix(t *testing.T) {
 					s := New(a, c)
 					s.UseReplay(rec)
 					s.cfg.Inner.Hooks = nil // the same solver, failure-free
-					res, full, err := s.SolveRecording(context.Background(), b, nil)
+					res, full, err := s.SolveRecording(context.Background(), b, nil, math.MaxInt)
 					if err != nil {
 						t.Fatal(err)
 					}

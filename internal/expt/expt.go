@@ -77,7 +77,7 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 		OuterTol: 1e-300, // unreachable: record the full residual history
 		Inner:    core.InnerConfig{Iterations: innerIters},
 	})
-	res, replay, err := probe.SolveRecording(context.Background(), b, nil)
+	res, replay, err := probe.SolveRecording(context.Background(), b, nil, math.MaxInt)
 	if err != nil {
 		return nil, fmt.Errorf("expt: calibration probe failed: %w", err)
 	}
@@ -123,7 +123,7 @@ func Calibrate(name string, a *sparse.CSR, innerIters, targetOuter int) (*Proble
 func (p *Problem) FailureFree() (int, error) {
 	s := core.New(p.A, p.Config(core.DetectorConfig{}, nil))
 	s.UseReplay(p.replay)
-	res, replay, err := s.SolveRecording(context.Background(), p.B, nil)
+	res, replay, err := s.SolveRecording(context.Background(), p.B, nil, math.MaxInt)
 	if err != nil {
 		return 0, err
 	}

@@ -9,9 +9,14 @@ import (
 	"sdcgmres/internal/vec"
 )
 
-// problemCacheBytes bounds an engine's problem cache: every cached
-// matrix, right-hand side and recorded inner result counts against it.
-const problemCacheBytes = 64 << 20
+const (
+	// problemCacheBytes bounds an engine's problem cache: every cached
+	// matrix, right-hand side and recorded inner result counts against it.
+	problemCacheBytes = 64 << 20
+	// problemSeenKeys bounds the keys of problems seen once; the set
+	// starts afresh when full.
+	problemSeenKeys = 1024
+)
 
 // problem is one built system A x = b with b = A·1, plus the longest
 // failure-free record (see core.Replay) per inner configuration that jobs
@@ -45,12 +50,18 @@ func buildProblem(m MatrixSpec) (*problem, error) {
 	}, nil
 }
 
+// stepBytes is what one recorded inner solve costs: its z.
+func (p *problem) stepBytes() int64 { return int64(8 * len(p.b)) }
+
 // problemCache keeps built problems across an engine's jobs, so that jobs
 // skip the matrix build and FT-GMRES jobs replay the inner solves earlier
-// jobs on the same problem recorded (prefix replay). It holds at most
-// budget bytes and evicts the least recently used problem first; a
-// problem larger than the budget is built per job. A nil cache builds
-// every problem afresh and publishes nothing. Safe for concurrent use.
+// jobs on the same problem recorded (prefix replay). Only jobs that share
+// a matrix gain, so a problem is cached on its second miss: traffic whose
+// problems do not repeat keeps no matrix resident and records nothing.
+// The cache holds at most budget bytes and evicts the least recently used
+// problem first; a problem larger than the budget is built per job. A nil
+// cache builds every problem afresh and publishes nothing. Safe for
+// concurrent use.
 type problemCache struct {
 	m      *Metrics
 	budget int64
@@ -59,14 +70,16 @@ type problemCache struct {
 	used  int64
 	lru   list.List // of *problem, most recently used first
 	byKey map[string]*list.Element
+	seen  map[string]bool // keys built once and not cached
 }
 
 func newProblemCache(m *Metrics, budget int64) *problemCache {
-	return &problemCache{m: m, budget: budget, byKey: map[string]*list.Element{}}
+	return &problemCache{m: m, budget: budget, byKey: map[string]*list.Element{}, seen: map[string]bool{}}
 }
 
-// get returns the problem a matrix spec describes, building and caching it
-// on a miss. A build that fails or panics caches nothing.
+// get returns the problem a matrix spec describes, building it on a miss
+// and caching it on the second. A build that fails or panics caches
+// nothing.
 func (c *problemCache) get(m MatrixSpec) (*problem, error) {
 	if c == nil {
 		return buildProblem(m)
@@ -90,6 +103,14 @@ func (c *problemCache) get(m MatrixSpec) (*problem, error) {
 		c.lru.MoveToFront(el)
 		return el.Value.(*problem), nil
 	}
+	if !c.seen[key] {
+		if len(c.seen) == problemSeenKeys {
+			clear(c.seen)
+		}
+		c.seen[key] = true
+		return p, nil
+	}
+	delete(c.seen, key)
 	if p.bytes <= c.budget {
 		c.evict(c.budget - p.bytes)
 		c.byKey[key] = c.lru.PushFront(p)
@@ -111,15 +132,22 @@ func (c *problemCache) lookup(key string) *problem {
 	return el.Value.(*problem)
 }
 
-// record returns the longest record published for p under an inner
-// configuration (nil when there is none).
-func (c *problemCache) record(p *problem, k core.ReplayKey) *core.Replay {
+// recording returns the longest record published for p under an inner
+// configuration (nil when there is none) and how many steps a job's own
+// record may hold: as many as commit could keep, given what is left of
+// the budget, and 0 when p is not cached, so that no job copies inner
+// results the cache would refuse.
+func (c *problemCache) recording(p *problem, k core.ReplayKey) (*core.Replay, int) {
 	if c == nil {
-		return nil
+		return nil, 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return p.records[k]
+	old := p.records[k]
+	if el, ok := c.byKey[p.key]; !ok || el.Value != p {
+		return old, 0
+	}
+	return old, old.Len() + int((c.budget-p.bytes)/p.stepBytes())
 }
 
 // commit accounts a successful FT-GMRES job on p: it counts the inner
@@ -141,7 +169,7 @@ func (c *problemCache) commit(p *problem, k core.ReplayKey, r *core.Replay, repl
 		return // evicted, or too large to cache
 	}
 	old := p.records[k]
-	grow := int64(r.Len()-old.Len()) * int64(8*len(p.b)) // one z per step
+	grow := int64(r.Len()-old.Len()) * p.stepBytes()
 	if grow <= 0 || p.bytes+grow > c.budget {
 		return
 	}

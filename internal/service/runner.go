@@ -201,9 +201,10 @@ func runFTGMRES(ctx context.Context, spec *JobSpec, p *problem, hooks []krylov.C
 	cfg.Pool = pool.WithRecorder(tr)
 	s := core.New(p.a, cfg)
 	key := s.ReplayKey()
-	s.UseReplay(pc.record(p, key))
+	rec, limit := pc.recording(p, key)
+	s.UseReplay(rec)
 	start := time.Now()
-	res, replay, err := s.SolveRecording(ctx, p.b, nil)
+	res, replay, err := s.SolveRecording(ctx, p.b, nil, limit)
 	if err != nil {
 		return nil, nil, err
 	}
